@@ -34,15 +34,17 @@ var hotpathInventory = map[string][]string{
 		"slotsUntilArrival", "takeExpired", "track", "untrack",
 	},
 	// TestPerFramePathZeroAllocSteadyState, ...PPersistent, ...Traffic,
-	// TestControllerPathSteadyAllocBound (internal/eventsim/alloc_test.go).
+	// ...RTSCTS, TestControllerPathSteadyAllocBound
+	// (internal/eventsim/alloc_test.go).
 	"../eventsim": {
 		"ackBegin", "ackEnd", "apBusyEnd", "apBusyStart", "armCountdown",
 		"arrival", "beaconEnd", "beaconTx", "broadcastControl", "clear",
-		"ctsBegin", "ctsEnd", "disarm", "failTimeout", "freeTransmission",
-		"launch", "newTransmission", "observeIdleGap", "onBusyEnd",
-		"onBusyStart", "phaseFlip", "pop", "push", "rearm",
-		"recordLatency", "reservedData", "scheduleArrival", "set",
-		"startContention", "tryBeacon", "txBegin", "txComplete",
+		"ctsBegin", "ctsEnd", "disarm", "failTimeout", "freeNAV",
+		"freeTransmission", "launch", "navEnd", "navHandoff", "newNAV",
+		"newTransmission", "observeIdleGap", "onBusyEnd", "onBusyStart",
+		"phaseFlip", "pop", "push", "rearm", "recordLatency",
+		"reservedData", "scheduleArrival", "set", "startContention",
+		"tryBeacon", "txBegin", "txComplete",
 	},
 }
 

@@ -140,3 +140,48 @@ func TestControllerPathSteadyAllocBound(t *testing.T) {
 		t.Fatal("controller simulation made no progress")
 	}
 }
+
+// The RTS/CTS path adds the RTS, the AP's CTS, the CTS→NAV handoff, the
+// reserved data frame and the NAV release to the frame lifecycle. The
+// two-cluster layout hides every station from the other cluster, so
+// reservations silence hidden stations and RTS frames still collide.
+// Once the NAV pool has warmed up the path must be allocation-free for
+// window-based (DCF) and memoryless (p-persistent) policies alike.
+func TestPerFramePathZeroAllocRTSCTS(t *testing.T) {
+	const n = 12
+	policies := map[string]func() mac.Policy{
+		"StandardDCF": func() mac.Policy { return mac.NewStandardDCF(16, 1024) },
+		"PPersistent": func() mac.Policy { return mac.NewPPersistent(1, 0.05) },
+	}
+	for name, mk := range policies {
+		t.Run(name, func(t *testing.T) {
+			ps := make([]mac.Policy, n)
+			for i := range ps {
+				ps[i] = mk()
+			}
+			s, err := New(Config{
+				Topology:     topo.New(topo.Point{}, topo.TwoClusters(n, 30), topo.PaperRadii()),
+				Policies:     ps,
+				RTSCTS:       true,
+				UpdatePeriod: 1000 * sim.Second,
+				Seed:         9,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run(2 * sim.Second)
+			warm := s.successes
+			next := s.sched.Now()
+			if avg := testing.AllocsPerRun(50, func() {
+				next = next.Add(20 * sim.Millisecond)
+				s.sched.RunUntil(next)
+			}); avg != 0 {
+				t.Errorf("RTS/CTS per-frame path allocates %.2f allocs per 20 ms, want 0", avg)
+			}
+			// Under RTS/CTS every success is a completed reservation.
+			if s.successes == warm {
+				t.Fatal("no reservation completed during the measurement")
+			}
+		})
+	}
+}

@@ -100,6 +100,14 @@ func policySet(scheme string, n int, phy model.PHY) ([]mac.Policy, core.Controll
 			policies[i] = mac.NewRandomReset(back.CWMin, back.M, 0, 1)
 		}
 		controller = core.NewTORA(core.TORAConfig{M: back.M, Scale: phy.BitRate})
+	case "idlesense":
+		for i := range policies {
+			policies[i] = mac.NewIdleSense(mac.IdleSenseConfig{})
+		}
+	case "estimaten":
+		for i := range policies {
+			policies[i] = mac.NewEstimateN(phy.TcSlots(), 10)
+		}
 	default:
 		panic("unknown scheme " + scheme)
 	}
@@ -302,6 +310,99 @@ func fingerprintCases() []fingerprintCase {
 				return cfg, func(s *eventsim.Simulator) error {
 					return s.SetActiveAt(sim.Time(700*sim.Millisecond), 10)
 				}
+			},
+		},
+		{
+			// A medium observer behind the CTS→NAV handoff: the CTS end
+			// and NAV start coincide, so the zero-length idle gap must
+			// never reach the policy.
+			name: "disc-rtscts-idlesense", seeds: []int64{26, 27}, dur: 2 * sim.Second,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				policies, _ := policySet("idlesense", 16, phy)
+				return eventsim.Config{
+					Topology: discTopology(16, 16, seed^0x5eed),
+					Policies: policies,
+					RTSCTS:   true,
+					Seed:     seed,
+				}, nil
+			},
+		},
+		{
+			// A memoryless policy drawing through rng.Geometric rather
+			// than a FloatBatch.
+			name: "disc-rtscts-estimaten", seeds: []int64{28, 29}, dur: 2 * sim.Second,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				policies, _ := policySet("estimaten", 16, phy)
+				return eventsim.Config{
+					Topology: discTopology(16, 16, seed^0x5eed),
+					Policies: policies,
+					RTSCTS:   true,
+					Seed:     seed,
+				}, nil
+			},
+		},
+		{
+			// A lost reserved frame draws no ACK, so the NAV outlives the
+			// air activity it was set for.
+			name: "disc-rtscts-errors", seeds: []int64{30, 31}, dur: 2 * sim.Second,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				policies, controller := policySet("wtop", 16, phy)
+				return eventsim.Config{
+					Topology:       discTopology(16, 16, seed^0x5eed),
+					Policies:       policies,
+					Controller:     controller,
+					RTSCTS:         true,
+					FrameErrorRate: 0.2,
+					Seed:           seed,
+				}, nil
+			},
+		},
+		{
+			// Membership flips every 37 ms; under RTS/CTS most of the air
+			// time is reserved, so many departures land inside a NAV
+			// window and the released station is inactive.
+			name: "churn-rtscts-disc", seeds: []int64{32, 33}, dur: 2 * sim.Second,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				policies, controller := policySet("wtop", 12, phy)
+				cfg := eventsim.Config{
+					Topology:      discTopology(12, 16, seed^0x5eed),
+					Policies:      policies,
+					Controller:    controller,
+					RTSCTS:        true,
+					InitialActive: 12,
+					Seed:          seed,
+				}
+				return cfg, func(s *eventsim.Simulator) error {
+					for k := 1; k*37 < 2000; k++ {
+						n := 12
+						if k%2 == 1 {
+							n = 3 + k%7
+						}
+						if err := s.SetActiveAt(sim.Time(sim.Duration(k*37)*sim.Millisecond), n); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+			},
+		},
+		{
+			// An ACK longer than RTS + CTS lets a transmitter whose
+			// reserved frame was lost win a new reservation before the
+			// old NAV ends, so stations sit under two NAVs at once.
+			name: "disc-rtscts-overlap", seeds: []int64{34, 35}, dur: 2 * sim.Second,
+			build: func(t *testing.T, seed int64) (eventsim.Config, func(*eventsim.Simulator) error) {
+				policies, _ := policySet("dcf", 16, phy)
+				longACK := phy
+				longACK.ACKLength = 2000
+				return eventsim.Config{
+					Topology:       discTopology(16, 16, seed^0x5eed),
+					Policies:       policies,
+					PHY:            longACK,
+					RTSCTS:         true,
+					FrameErrorRate: 0.3,
+					Seed:           seed,
+				}, nil
 			},
 		},
 	}

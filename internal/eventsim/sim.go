@@ -27,6 +27,13 @@ type transmission struct {
 	collided bool
 }
 
+// navRecord is one CTS reservation in force: the stations whose NAV it
+// holds busy, released together when the reservation ends. Records are
+// pooled like transmissions.
+type navRecord struct {
+	stations []*station
+}
+
 // Simulator is a single WLAN run: N stations, one AP, one channel.
 // Create with New, drive with Run; a Simulator is single-use per Run
 // sequence and not safe for concurrent use (run parallel instances for
@@ -78,10 +85,13 @@ type Simulator struct {
 	beaconEndFn    func(any)
 	arrivalFn      func(any)
 	phaseFn        func(any)
+	navEndFn       func(any)
 
-	// txPool recycles transmission records so the steady-state frame
-	// lifecycle allocates nothing.
-	txPool []*transmission
+	// txPool and navPool recycle transmission and NAV records so the
+	// steady-state frame lifecycle, RTS/CTS exchanges included,
+	// allocates nothing.
+	txPool  []*transmission
+	navPool []*navRecord
 
 	// Lazy contention wake-up state (see contention.go): ready is the
 	// bitmap of armed stations, armedSt/armedRef the single live
@@ -156,6 +166,7 @@ func New(cfg Config) (*Simulator, error) {
 	s.beaconEndFn = func(any) { s.beaconEnd() }
 	s.arrivalFn = func(a any) { s.arrival(a.(*station)) }
 	s.phaseFn = func(a any) { s.phaseFlip(a.(*station)) }
+	s.navEndFn = func(a any) { s.navEnd(a.(*navRecord)) }
 	// rearm runs after every dispatched event, re-establishing the
 	// lazy-wakeup candidate minimum exactly once per event however many
 	// transitions the callback performed — one enforcement point
@@ -208,6 +219,7 @@ func (s *Simulator) init(cfg Config) {
 		rootRNG:          root,
 		active:           s.active[:0],
 		txPool:           s.txPool,
+		navPool:          s.navPool,
 		ready:            s.ready,
 		dues:             s.dues,
 		vseqs:            s.vseqs,
@@ -228,6 +240,7 @@ func (s *Simulator) init(cfg Config) {
 		beaconEndFn:      s.beaconEndFn,
 		arrivalFn:        s.arrivalFn,
 		phaseFn:          s.phaseFn,
+		navEndFn:         s.navEndFn,
 	}
 	if cfg.Controller != nil {
 		s.control = cfg.Controller.Control()
@@ -267,8 +280,8 @@ func (s *Simulator) init(cfg Config) {
 			senseIdleOpen: true,
 		}
 		st.observer, _ = st.policy.(mac.MediumObserver)
-		if m, ok := st.policy.(mac.Memoryless); ok {
-			st.memoryless = m.BackoffMemoryless()
+		if m, ok := st.policy.(mac.Memoryless); ok && m.BackoffMemoryless() {
+			st.memoryless = m
 		}
 		st.queue.buf = qbuf
 		if rng == nil {
@@ -605,10 +618,42 @@ func (s *Simulator) onBusyEnd(st *station) {
 		// slot, so redraw instead of resuming the frozen residual
 		// (which is conditioned ≥ 1 and would bias the idle-slot
 		// distribution away from Eq. (2)'s i.i.d. slots).
-		if st.memoryless {
+		if st.memoryless != nil {
 			st.remaining = st.policy.NextBackoff(st.rng)
 		}
 		s.armCountdown(st)
+	}
+}
+
+// navHandoff moves st, which decoded the CTS that just ended, straight
+// under the NAV that CTS announces. It has exactly the net effect of
+// onBusyEnd followed by onBusyStart at the same instant, without the
+// round trip:
+//   - a station still sensing another frame (busyCount > 1) is untouched
+//     by either half;
+//   - the idle gap between the halves is zero, shorter than DIFS, so no
+//     observer sees it, and the gap stays closed;
+//   - a contending station would arm (reserving a scheduler sequence
+//     number, which is taken here so numbering stays identical) and at
+//     once freeze with no slot served, so its counter is unchanged;
+//   - a memoryless station would redraw its counter on the way. That
+//     variate is dead — a memoryless station frozen with no slot served
+//     always redraws before its counter is read, in onBusyEnd when the
+//     medium next idles or in startContention — so only the RNG draw is
+//     taken, not the inverse transform.
+//
+//wlanvet:hotpath
+func (s *Simulator) navHandoff(st *station, now sim.Time) {
+	if st.busyCount != 1 {
+		return
+	}
+	st.idleSince = now
+	st.senseIdleStart = now
+	if st.state == stateContending && !st.armed {
+		s.sched.TakeSeq()
+		if st.memoryless != nil {
+			st.memoryless.DiscardBackoff(st.rng)
+		}
 	}
 }
 
@@ -636,6 +681,36 @@ func (s *Simulator) freeTransmission(rec *transmission) {
 	rec.st = nil
 	//wlanvet:allow amortised: the pool grows to the concurrent-transmission high-water mark, then every append reuses capacity
 	s.txPool = append(s.txPool, rec)
+}
+
+// newNAV takes a recycled NAV record from the pool, or allocates while
+// the pool warms up, with room for every station.
+//
+//wlanvet:hotpath
+func (s *Simulator) newNAV() *navRecord {
+	var rec *navRecord
+	if n := len(s.navPool); n > 0 {
+		rec = s.navPool[n-1]
+		s.navPool[n-1] = nil
+		s.navPool = s.navPool[:n-1]
+	} else {
+		rec = &navRecord{}
+	}
+	if cap(rec.stations) < len(s.stations) {
+		rec.stations = make([]*station, len(s.stations))
+	}
+	rec.stations = rec.stations[:len(s.stations)]
+	return rec
+}
+
+// freeNAV recycles a record once navEnd has released its stations; its
+// scheduler event has fired, so no reference survives.
+//
+//wlanvet:hotpath
+func (s *Simulator) freeNAV(rec *navRecord) {
+	rec.stations = rec.stations[:0]
+	//wlanvet:allow amortised: the pool grows to the concurrent-reservation high-water mark, then every append reuses capacity
+	s.navPool = append(s.navPool, rec)
 }
 
 // txBegin puts st's data frame on the air. It fires as the candidate-
@@ -732,9 +807,8 @@ func (s *Simulator) txComplete(rec *transmission) {
 	if kind == kindRTS {
 		if s.cfg.Trace != nil {
 			wire := frame.Marshal(&frame.RTS{
-				Source: frame.Address(st.id),
-				//wlanvet:allow the 802.11 Duration/ID field is 16 bits by spec; one exchange's NAV is far below 65535 µs
-				Duration: uint16(s.navDuration() / sim.Microsecond),
+				Source:   frame.Address(st.id),
+				Duration: s.navField(),
 			})
 			s.cfg.Trace.Frame(now, wire, collided)
 		}
@@ -773,9 +847,13 @@ func (s *Simulator) txComplete(rec *transmission) {
 	s.sched.AfterArg(s.cfg.PHY.SIFS, s.ackBeginFn, st)
 }
 
-// navDuration is the medium reservation a CTS announces: the remainder of
-// the exchange after the CTS ends (SIFS + data + SIFS + ACK).
-func (s *Simulator) navDuration() sim.Duration { return s.tNAV }
+// navField is the Duration/ID field of RTS and CTS frames: the medium
+// reservation a CTS announces, the remainder of the exchange after the
+// CTS ends (SIFS + data + SIFS + ACK), in microseconds.
+func (s *Simulator) navField() uint16 {
+	//wlanvet:allow the 802.11 Duration/ID field is 16 bits by spec; one exchange's NAV is far below 65535 µs
+	return uint16(s.tNAV / sim.Microsecond)
+}
 
 // ctsBegin starts the AP's clear-to-send answer to an uncollided RTS.
 //
@@ -796,48 +874,50 @@ func (s *Simulator) ctsBegin(target *station) {
 	s.sched.AfterArg(s.tCTS, s.ctsEndFn, target)
 }
 
-// ctsEnd completes the CTS: every station that could decode it arms its
-// NAV for the rest of the exchange, and the reservation owner proceeds to
-// its data frame after SIFS.
+// ctsEnd completes the CTS: every station that could decode it moves
+// straight under its NAV for the rest of the exchange, and the
+// reservation owner proceeds to its data frame after SIFS. A station that
+// is itself mid-transmission cannot have decoded the CTS (half duplex)
+// and keeps contending blindly — the residual collision channel RTS/CTS
+// cannot close.
 //
 //wlanvet:hotpath
 func (s *Simulator) ctsEnd(target *station) {
 	now := s.sched.Now()
 	s.apTx = false
 	s.apBusyEnd(now)
+	nav := s.newNAV()
+	k := 0
 	for _, st := range s.stations {
-		s.onBusyEnd(st)
+		if st == target || st.state == stateTransmitting {
+			s.onBusyEnd(st)
+			continue
+		}
+		s.navHandoff(st, now)
+		nav.stations[k] = st
+		k++
 	}
+	nav.stations = nav.stations[:k]
 	if s.cfg.Trace != nil {
 		wire := frame.Marshal(&frame.CTS{
 			Receiver: frame.Address(target.id),
-			//wlanvet:allow the 802.11 Duration/ID field is 16 bits by spec; one exchange's NAV is far below 65535 µs
-			Duration: uint16(s.navDuration() / sim.Microsecond),
+			Duration: s.navField(),
 		})
 		s.cfg.Trace.Frame(now, wire, false)
 	}
-	// Arm the NAV. A station that is itself mid-transmission cannot have
-	// decoded the CTS (half duplex) and keeps contending blindly — the
-	// residual collision channel RTS/CTS cannot close.
-	var navved []*station
-	for _, st := range s.stations {
-		if st == target || st.state == stateTransmitting {
-			continue
-		}
-		s.onBusyStart(st)
-		//wlanvet:allow per-exchange, not per-frame: reservations are rare and overlapping NAV windows make a shared scratch buffer unsafe
-		navved = append(navved, st)
-	}
-	// The navved closure is the one remaining per-exchange allocation on
-	// the RTS/CTS path; reservations are rare relative to data frames
-	// and overlapping NAV windows make a shared scratch buffer unsafe.
-	//wlanvet:allow per-exchange, not per-frame: the NAV-release closure is the one deliberate RTS/CTS allocation, documented above
-	s.sched.After(s.navDuration(), func() {
-		for _, st := range navved {
-			s.onBusyEnd(st)
-		}
-	})
+	s.sched.AfterArg(s.tNAV, s.navEndFn, nav)
 	s.sched.AfterArg(s.cfg.PHY.SIFS, s.reservedDataFn, target)
+}
+
+// navEnd releases a reservation's NAV: the medium idles for every station
+// it held, unless that station still senses another frame.
+//
+//wlanvet:hotpath
+func (s *Simulator) navEnd(nav *navRecord) {
+	for _, st := range nav.stations {
+		s.onBusyEnd(st)
+	}
+	s.freeNAV(nav)
 }
 
 // reservedData transmits the data frame inside an RTS/CTS reservation.

@@ -63,11 +63,12 @@ type station struct {
 	id     int
 	policy mac.Policy
 	// observer and memoryless cache the policy's optional-interface
-	// shape once at init: the busy/idle transition path runs for every
+	// shape once at init (memoryless is nil unless the policy reports
+	// BackoffMemoryless): the busy/idle transition path runs for every
 	// station on every frame, and repeating the type assertions there
 	// costs more than the transitions themselves.
 	observer   mac.MediumObserver
-	memoryless bool
+	memoryless mac.Memoryless
 	rng        *sim.RNG
 	state      stationState
 

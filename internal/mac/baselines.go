@@ -163,3 +163,12 @@ func (e *EstimateN) AttemptProbability() float64 { return e.p }
 // BackoffMemoryless implements Memoryless: the geometric draw carries no
 // history.
 func (e *EstimateN) BackoffMemoryless() bool { return true }
+
+// DiscardBackoff implements Memoryless, mirroring rng.Geometric's
+// consumption: no draw for p ≥ 1 or p ≤ 0, one uniform otherwise.
+func (e *EstimateN) DiscardBackoff(rng *sim.RNG) {
+	if e.p >= 1 || e.p <= 0 {
+		return
+	}
+	rng.Float64()
+}

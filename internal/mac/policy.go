@@ -57,10 +57,21 @@ type AttemptReporter interface {
 // period too, whereas a frozen 802.11-style counter is conditioned ≥ 1
 // there. Window-based policies (DCF, RandomReset, IdleSense) deliberately
 // do NOT implement this — they freeze and resume like real 802.11.
+//
+// DiscardBackoff serves engines that can prove a redraw dead: eventsim's
+// CTS→NAV handoff idles the medium and busies it again at one instant,
+// so the counter redrawn in between is frozen with no slot served and
+// redrawn again before anything reads it. Skipping that draw outright
+// would shift the station's RNG stream; DiscardBackoff advances the
+// stream exactly as NextBackoff would, without computing the variate.
 type Memoryless interface {
 	// BackoffMemoryless reports that counters may be redrawn at every
 	// idle resumption without changing the policy's distribution.
 	BackoffMemoryless() bool
+	// DiscardBackoff consumes from rng exactly the draws one NextBackoff
+	// call would consume, leaving rng (and any prefetch state) where
+	// NextBackoff would have left it, but returns no variate.
+	DiscardBackoff(rng *sim.RNG)
 }
 
 // StandardDCF is the IEEE 802.11 exponential backoff: the contention
@@ -195,6 +206,14 @@ func (p *PPersistent) Name() string { return "p-persistent" }
 // BackoffMemoryless implements Memoryless: the geometric counter may be
 // redrawn at any idle resumption (memorylessness of the geometric law).
 func (p *PPersistent) BackoffMemoryless() bool { return true }
+
+// DiscardBackoff implements Memoryless: every draw consumes exactly one
+// batched uniform, so discarding takes one from the batch and skips the
+// inverse transform (and its logarithm).
+func (p *PPersistent) DiscardBackoff(rng *sim.RNG) {
+	p.batch.Bind(rng)
+	p.batch.Next()
+}
 
 func clampProb(v, min float64) float64 {
 	switch {
